@@ -13,8 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Vet, then fail if any Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Per-package statement coverage, lowest first, with the module-wide
 # figure last. Advisory: low coverage is a signal, not a gate.

@@ -70,7 +70,7 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("gremlin-logstore listening on %s (%d shard(s))\n", srv.URL(), store.NumShards())
-	fmt.Println("  POST   /v1/records  ingest observations (JSON array or NDJSON; ?shard=i&of=n hint)")
+	fmt.Println("  POST   /v1/records  ingest observations (JSON array or NDJSON)")
 	fmt.Println("  POST   /v1/query    query observations")
 	fmt.Println("  POST   /v1/count    count matching observations")
 	fmt.Println("  DELETE /v1/records  clear")

@@ -123,8 +123,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("offered %.1f/s (%d arrivals, %d shed, peak in-flight %d), success %.3f\n",
-		base.OfferedRate(), base.Arrivals, base.Shed, base.PeakInFlight, base.SuccessRate())
+	fmt.Printf("offered %.1f/s (%d arrivals in %s, drained in %s, %d shed, peak in-flight %d), success %.3f\n",
+		base.OfferedRate(), base.Arrivals, base.ArrivalWindow.Round(time.Millisecond),
+		base.Drain.Round(time.Millisecond), base.Shed, base.PeakInFlight, base.SuccessRate())
 	if base.Arrivals == 0 || base.SuccessRate() < 0.995 {
 		return fmt.Errorf("baseline unhealthy: %d arrivals, success %.3f", base.Arrivals, base.SuccessRate())
 	}

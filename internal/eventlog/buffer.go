@@ -50,7 +50,7 @@ type BufferedSink struct {
 
 // batchSink is the optional one-body batch surface of a Sink
 // (Client.LogBatch encodes a flush into a single pooled NDJSON body and
-// pre-routes it per shard). When the underlying sink has it, flushes go
+// ships it in one POST). When the underlying sink has it, flushes go
 // through it instead of the record-slice Log call.
 type batchSink interface {
 	LogBatch(recs []Record) error

@@ -7,13 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,10 +20,6 @@ import (
 type Client struct {
 	baseURL string
 	http    *http.Client
-
-	// shards caches the server's shard topology (0 = not yet learned) so
-	// LogBatch can pre-route batches; see topology().
-	shards atomic.Int32
 }
 
 var (
@@ -56,62 +50,36 @@ func (c *Client) Log(recs ...Record) error {
 }
 
 // LogBatch ships one flush's worth of records as a single JSON Lines
-// body per shard: the batch is grouped by the server's shard topology
-// (learned once from /v1/stats and re-learned when it drifts), encoded
-// into a pooled buffer, and sent with the ?shard= pre-routing hint so the
-// server appends each group under exactly one shard lock. BufferedSink
-// uses this instead of Log when its sink is a Client.
+// body (one POST, whatever the server's shard count: the server groups a
+// mixed batch by shard itself), encoded by the record codec into a pooled
+// buffer. BufferedSink uses this instead of Log when its sink is a Client.
 func (c *Client) LogBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	n := c.topology()
-	if n <= 1 {
-		return c.postBatch("/v1/records", recs)
-	}
-	groups := make(map[int][]Record, 4)
-	for _, r := range recs {
-		si := shardOf(r.RequestID, n)
-		groups[si] = append(groups[si], r)
-	}
-	for si, g := range groups {
-		path := fmt.Sprintf("/v1/records?shard=%d&of=%d", si, n)
-		if err := c.postBatch(path, g); err != nil {
-			return err
+	bp := batchBufPool.Get().(*[]byte)
+	defer batchBufPool.Put(bp)
+	body := (*bp)[:0]
+	for i := range recs {
+		var err error
+		if body, err = appendRecord(body, &recs[i]); err != nil {
+			return fmt.Errorf("eventlog: encode batch: %w", err)
 		}
+	}
+	*bp = body
+	req, err := http.NewRequest(http.MethodPost, c.baseURL+"/v1/records", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	if err := c.do(req, nil); err != nil {
+		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
 	}
 	return nil
 }
 
-// shardOf mirrors the server's request-ID-namespace routing so client
-// batches land pre-sorted (the server re-verifies placement).
-func shardOf(id string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(namespaceOf(id)))
-	return int(h.Sum32() % uint32(shards))
-}
-
-// topology returns the server's shard count, fetching it on first use.
-// An unreachable server reads as single-shard; the count is retried on
-// the next batch.
-func (c *Client) topology() int {
-	if n := c.shards.Load(); n > 0 {
-		return int(n)
-	}
-	req, err := http.NewRequest(http.MethodGet, c.baseURL+"/v1/stats", nil)
-	if err != nil {
-		return 1
-	}
-	var out statsBody
-	if err := c.do(req, &out); err != nil || out.Shards < 1 {
-		return 1
-	}
-	c.shards.Store(int32(out.Shards))
-	return out.Shards
-}
+// batchBufPool recycles NDJSON encode buffers across flushes.
+var batchBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Info fetches the server's store topology and WAL durability
 // configuration (GET /v1/info).
@@ -125,34 +93,6 @@ func (c *Client) Info() (StoreInfo, error) {
 		return StoreInfo{}, fmt.Errorf("eventlog: store info: %w", err)
 	}
 	return out, nil
-}
-
-// batchBufPool recycles NDJSON encode buffers across flushes.
-var batchBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// postBatch sends records as one application/x-ndjson body encoded into a
-// pooled buffer — one request, one encoder pass, zero per-record HTTP
-// overhead.
-func (c *Client) postBatch(path string, recs []Record) error {
-	buf := batchBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer batchBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("eventlog: encode batch: %w", err)
-		}
-	}
-	req, err := http.NewRequest(http.MethodPost, c.baseURL+path, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	var out map[string]int
-	if err := c.do(req, &out); err != nil {
-		return fmt.Errorf("eventlog: ship %d records: %w", len(recs), err)
-	}
-	return nil
 }
 
 // Select runs a query against the remote store.

@@ -1,13 +1,13 @@
 package eventlog
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gremlin/internal/httpx"
@@ -33,19 +33,11 @@ type StoreAPI interface {
 	ShardStats() []ShardStats
 }
 
-// shardSink is the optional pre-routed append fast path (ShardedStore's
-// LogShard): a shard-aware client groups a batch per shard so the server
-// appends it under exactly one shard lock.
-type shardSink interface {
-	LogShard(shard int, recs ...Record) error
-}
-
 // Server exposes a store over HTTP — the stand-in for the paper's
 // logstash→Elasticsearch pipeline. Endpoints:
 //
 //	POST   /v1/records   ingest records: a JSON array, or JSON Lines with
-//	                     Content-Type application/x-ndjson; ?shard=i&of=N
-//	                     marks a batch pre-routed to shard i of N
+//	                     Content-Type application/x-ndjson
 //	POST   /v1/query     run a Query, returning matching records
 //	POST   /v1/count     run a Query, returning only the match count
 //	DELETE /v1/records   clear the store (?pattern= clears only matching
@@ -67,8 +59,7 @@ type Server struct {
 // Tests shorten it via the package-level variable.
 var streamHeartbeat = 15 * time.Second
 
-// statsBody is the payload of GET /v1/stats. Shards lets shard-aware
-// clients pre-route their append batches.
+// statsBody is the payload of GET /v1/stats.
 type statsBody struct {
 	Records int `json:"records"`
 	Shards  int `json:"shards,omitempty"`
@@ -158,7 +149,9 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if err := s.ingest(r, recs); err != nil {
+		// Older clients may still tag a batch ?shard=i&of=n; the store
+		// routes every record itself, so the hint is ignored.
+		if err := s.store.Log(recs...); err != nil {
 			httpx.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
@@ -181,7 +174,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 // decodeRecords reads an ingest body: a JSON array (the default), or JSON
 // Lines when the client announces application/x-ndjson — the encoding the
-// BufferedSink batches flushes in, identical to the WAL segment format.
+// BufferedSink batches flushes in, identical to the WAL segment format,
+// and decoded by the record codec.
 func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
 	if !strings.Contains(r.Header.Get("Content-Type"), "x-ndjson") {
 		var recs []Record
@@ -190,36 +184,25 @@ func decodeRecords(w http.ResponseWriter, r *http.Request) ([]Record, error) {
 		}
 		return recs, nil
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
-	var recs []Record
-	for {
-		var rec Record
-		err := dec.Decode(&rec)
-		if errors.Is(err, io.EOF) {
-			return recs, nil
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		// Decoded records copy their strings, so the buffer is free to
+		// reuse; an outsized one is left to the collector.
+		if buf.Cap() <= maxPooledBody {
+			bodyBufPool.Put(buf)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("decode record %d: %w", len(recs), err)
-		}
-		recs = append(recs, rec)
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)); err != nil {
+		return nil, fmt.Errorf("read records: %w", err)
 	}
+	return decodeRecordLines(buf.Bytes())
 }
 
-// ingest appends decoded records, honouring a shard-aware client's
-// pre-routing hint when its view of the shard topology is current.
-func (s *Server) ingest(r *http.Request, recs []Record) error {
-	q := r.URL.Query()
-	if shard, of := q.Get("shard"), q.Get("of"); shard != "" && of != "" {
-		si, err1 := strconv.Atoi(shard)
-		n, err2 := strconv.Atoi(of)
-		if err1 == nil && err2 == nil && n == s.store.NumShards() {
-			if ssink, ok := s.store.(shardSink); ok {
-				return ssink.LogShard(si, recs...)
-			}
-		}
-	}
-	return s.store.Log(recs...)
-}
+// bodyBufPool recycles NDJSON ingest bodies up to maxPooledBody bytes.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -3,7 +3,11 @@ package eventlog
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -237,6 +241,89 @@ func TestClientLogBatchShardAware(t *testing.T) {
 		}
 		if len(got) != want {
 			t.Fatalf("ns%d: %d records via client, want %d", ns, len(got), want)
+		}
+	}
+}
+
+// TestClientLogBatchOnePostPerFlush checks that a flush bound for a
+// sharded store travels as one NDJSON POST, however many shards its
+// records span.
+func TestClientLogBatchOnePostPerFlush(t *testing.T) {
+	ss, err := NewShardedStore(StoreOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	srv, err := NewServer("127.0.0.1:0", ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	target, err := url.Parse(srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := httputil.NewSingleHostReverseProxy(target)
+	var posts atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/records" {
+			posts.Add(1)
+			if r.URL.RawQuery != "" {
+				t.Errorf("batch POST carries query %q", r.URL.RawQuery)
+			}
+		}
+		forward.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+
+	var recs []Record
+	for i := 0; i < 64; i++ {
+		recs = append(recs, Record{Src: "a", Dst: "b", Kind: KindRequest,
+			RequestID: fmt.Sprintf("ns%d-%d", i%8, i), Timestamp: t0})
+	}
+	if err := NewClient(proxy.URL, nil).LogBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := posts.Load(); got != 1 {
+		t.Fatalf("one flush made %d POSTs, want 1", got)
+	}
+	if got := ss.Len(); got != 64 {
+		t.Fatalf("store holds %d records, want 64", got)
+	}
+}
+
+// TestServerIgnoresLegacyShardHint posts batches the way older clients
+// did, tagged ?shard=i&of=n with hints that are wrong, out of range or
+// for another topology: every record must still be accepted and land on
+// the shard its request ID routes to.
+func TestServerIgnoresLegacyShardHint(t *testing.T) {
+	ss, c := newShardedTestServer(t, 4)
+	body := `{"requestId":"test-1","src":"a","dst":"b","kind":"request"}
+{"requestId":"other-1","src":"a","dst":"b","kind":"request"}
+`
+	wrong := (ss.shardFor("test-1") + 1) % 4
+	for _, q := range []string{
+		fmt.Sprintf("shard=%d&of=4", wrong), "shard=99&of=4", "shard=0&of=7", "shard=x&of=y",
+	} {
+		resp, err := http.Post(c.baseURL+"/v1/records?"+q, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %d", q, resp.StatusCode)
+		}
+	}
+	if got := ss.Len(); got != 8 {
+		t.Fatalf("Len=%d, want 8", got)
+	}
+	for _, id := range []string{"test-1", "other-1"} {
+		recs, err := ss.shards[ss.shardFor(id)].Select(Query{IDPattern: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 4 {
+			t.Fatalf("%s: %d records on its shard, want 4", id, len(recs))
 		}
 	}
 }

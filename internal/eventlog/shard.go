@@ -294,46 +294,6 @@ func (ss *ShardedStore) Log(recs ...Record) error {
 	return nil
 }
 
-// LogShard appends a batch a shard-aware client pre-routed to shard si
-// (POST /v1/records?shard=). Routing is re-verified record by record —
-// placement determines which lock a namespaced query takes, so a stale or
-// buggy client hint must not strand records on the wrong shard. Verified
-// prefixes append as one batch; stragglers fall back to ordinary routing.
-func (ss *ShardedStore) LogShard(si int, recs ...Record) error {
-	if si < 0 || si >= len(ss.shards) {
-		return ss.Log(recs...)
-	}
-	match := len(recs)
-	for i, r := range recs {
-		if ss.shardFor(r.RequestID) != si {
-			match = i
-			break
-		}
-	}
-	if match == 0 {
-		return ss.Log(recs...)
-	}
-	if ss.closed.Load() {
-		return fmt.Errorf("eventlog: store closed")
-	}
-	now := time.Now()
-	batch := make([]Record, match)
-	for i, r := range recs[:match] {
-		r.Seq = ss.seq.Add(1)
-		if r.Timestamp.IsZero() {
-			r.Timestamp = now
-		}
-		batch[i] = r
-	}
-	if err := ss.appendShard(si, batch); err != nil {
-		return err
-	}
-	if match < len(recs) {
-		return ss.Log(recs[match:]...)
-	}
-	return nil
-}
-
 // appendShard writes one shard's stamped batch: WAL first, memory second,
 // under the shard's append gate.
 func (ss *ShardedStore) appendShard(si int, batch []Record) error {

@@ -40,19 +40,14 @@ func TestNamespaceOf(t *testing.T) {
 
 func TestNamespaceRoutingKeepsNamespaceTogether(t *testing.T) {
 	// All IDs of one namespace must land on one shard, whatever the count.
-	// shardOf (client side) and ShardedStore.shardFor (server side) must
-	// agree, or client batch hints would always miss.
 	for _, n := range []int{2, 3, 8} {
 		ss := newSharded(t, StoreOptions{Shards: n})
 		for _, ns := range []string{"test", "camp-run1", "camp-run2", "prod"} {
-			want := shardOf(ns+"-0", n)
+			want := ss.shardFor(ns + "-0")
 			for i := 1; i < 50; i++ {
 				id := fmt.Sprintf("%s-%d", ns, i)
-				if got := shardOf(id, n); got != want {
-					t.Fatalf("shards=%d ns=%s: id %d routed to %d, want %d", n, ns, i, got, want)
-				}
 				if got := ss.shardFor(id); got != want {
-					t.Fatalf("shards=%d ns=%s: server routes %q to %d, client to %d", n, ns, id, got, want)
+					t.Fatalf("shards=%d ns=%s: id %q routed to %d, want %d", n, ns, id, got, want)
 				}
 			}
 		}
@@ -338,35 +333,6 @@ func TestSingleShardIsPlainStore(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Seq != 1 {
 		t.Fatalf("got %+v", recs)
-	}
-}
-
-func TestLogShardVerifiesRouting(t *testing.T) {
-	ss := newSharded(t, StoreOptions{Shards: 4})
-	r1 := Record{RequestID: "test-1", Src: "a", Dst: "b", Kind: KindRequest}
-	r2 := Record{RequestID: "other-1", Src: "a", Dst: "b", Kind: KindRequest}
-	want := ss.shardFor("test-1")
-	// Send both to test-1's shard: the mismatched one must be rerouted,
-	// not appended to the wrong shard.
-	if err := ss.LogShard(want, r1, r2); err != nil {
-		t.Fatal(err)
-	}
-	if got := ss.Len(); got != 2 {
-		t.Fatalf("Len=%d, want 2", got)
-	}
-	other := ss.shardFor("other-1")
-	if other != want {
-		recs, _ := ss.shards[other].Select(Query{IDPattern: "other-1"})
-		if len(recs) != 1 {
-			t.Fatalf("misrouted record not rerouted to shard %d", other)
-		}
-	}
-	// An out-of-range hint (stale topology) degrades to ordinary routing.
-	if err := ss.LogShard(99, r1); err != nil {
-		t.Fatal(err)
-	}
-	if got := ss.Len(); got != 3 {
-		t.Fatalf("Len=%d after out-of-range hint, want 3", got)
 	}
 }
 

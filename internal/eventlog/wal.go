@@ -2,7 +2,6 @@ package eventlog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,7 +71,7 @@ func clearLine(idPattern string) ([]byte, error) {
 
 // walBufPool recycles the per-batch encode buffers so a flood of appends
 // does not allocate a fresh buffer per batch.
-var walBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var walBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // wal is one shard's write-ahead log: append-only JSONL segment files
 // (`00000001.wal`, `00000002.wal`, ...) in a directory, size-rotated, with
@@ -274,18 +273,17 @@ func (w *wal) recount() error {
 // rotating and fsyncing per policy. The caller has already stamped
 // timestamps and sequence numbers.
 func (w *wal) append(recs []Record) error {
-	buf := walBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
+	bp := walBufPool.Get().(*[]byte)
+	defer walBufPool.Put(bp)
+	b := (*bp)[:0]
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			walBufPool.Put(buf)
+		var err error
+		if b, err = appendRecord(b, &recs[i]); err != nil {
 			return fmt.Errorf("eventlog: wal: encode: %w", err)
 		}
 	}
-	err := w.write(buf.Bytes())
-	walBufPool.Put(buf)
-	return err
+	*bp = b
+	return w.write(b)
 }
 
 // appendClear writes a tombstone for idPattern.
@@ -401,9 +399,12 @@ func (w *wal) compact(snapshot []Record) error {
 	if _, err := bw.Write(marker); err != nil {
 		return fail(err)
 	}
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range snapshot {
-		if err := enc.Encode(&snapshot[i]); err != nil {
+		if line, err = appendRecord(line[:0], &snapshot[i]); err != nil {
+			return fail(err)
+		}
+		if _, err := bw.Write(line); err != nil {
 			return fail(err)
 		}
 	}

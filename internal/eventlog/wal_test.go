@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -370,5 +371,97 @@ func TestWALShardCountMismatch(t *testing.T) {
 	defer re.Close()
 	if got := re.Len(); got != 200 {
 		t.Fatalf("matching reopen replayed %d records, want 200", got)
+	}
+}
+
+// walCompatRecords are the records the testdata WAL segment holds: every
+// field, JSON escapes, a fault reply and an L4 conn record.
+func walCompatRecords() []Record {
+	ts := time.Date(2026, 3, 4, 5, 6, 7, 891011000, time.UTC)
+	return []Record{
+		{Timestamp: ts, RequestID: "test-abc123-1", SpanID: "sp-a-0f0f0f-1",
+			EI: "svc-0#0/svc-1#0", Src: "svc-0", Dst: "svc-1", Kind: KindRequest,
+			Method: "GET", URI: "/item?id=7&x=<y>", Agent: "svc-0-agent"},
+		{Timestamp: ts.Add(time.Millisecond), RequestID: "test-abc123-1", SpanID: "sp-a-0f0f0f-1",
+			ParentSpanID: "sp-b-1", Src: "svc-0", Dst: "svc-1", Kind: KindReply, Method: "GET",
+			URI: "/\"quoted\"\\path\t\u2028é", Status: 503, LatencyMillis: 1.2345,
+			FaultAction: "abort,delay", FaultRuleID: "r1,r2", InjectedDelayMillis: 1e-7,
+			GremlinGenerated: true, Agent: "svc-0-agent"},
+		{Timestamp: ts.Add(2 * time.Millisecond), RequestID: "l4-x-1", Src: "app", Dst: "db",
+			Kind: KindConnClose, LatencyMillis: 2e21, BytesUp: 1 << 40, BytesDown: 3},
+		{Timestamp: ts.Add(3 * time.Millisecond), RequestID: "drop-1", Src: "a", Dst: "b", Kind: KindRequest},
+	}
+}
+
+// writeWALCompat writes walCompatRecords into a one-shard store at dir
+// the way testdata/wal-v1 was written: two batches, then a tombstone.
+func writeWALCompat(t *testing.T, dir string) {
+	t.Helper()
+	ss, err := NewShardedStore(StoreOptions{Shards: 1, DataDir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := walCompatRecords()
+	if err := ss.Log(recs[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Log(recs[2:]...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.ClearMatching("drop-*"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALCompatWithEncodingJSONSegments replays testdata/wal-v1, a
+// segment written when WAL lines were encoded by encoding/json, and
+// checks that today's encoder writes the same sequence byte for byte.
+func TestWALCompatWithEncodingJSONSegments(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"SHARDS", filepath.Join("shard-0", "00000001.wal")} {
+		b, err := os.ReadFile(filepath.Join("testdata", "wal-v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss, err := NewShardedStore(StoreOptions{Shards: 1, DataDir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ss.Select(Query{})
+	ss.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := walCompatRecords()[:3] // the tombstone dropped drop-1
+	for i := range want {
+		want[i].Seq = uint64(i + 1)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed\n%+v\nwant\n%+v", got, want)
+	}
+
+	fresh := t.TempDir()
+	writeWALCompat(t, fresh)
+	seg := filepath.Join("shard-0", "00000001.wal")
+	old, err := os.ReadFile(filepath.Join("testdata", "wal-v1", seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.ReadFile(filepath.Join(fresh, seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(now) != string(old) {
+		t.Fatalf("segment bytes changed:\n got %s\nwant %s", now, old)
 	}
 }

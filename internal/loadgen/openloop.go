@@ -149,15 +149,24 @@ type OpenLoopResult struct {
 
 	// PeakInFlight is the highest concurrently-outstanding count observed.
 	PeakInFlight int
+
+	// ArrivalWindow is how long the arrival process ran: from the start
+	// of the run until Duration (or Context) closed the schedule.
+	ArrivalWindow time.Duration
+
+	// Drain is how long the requests still in flight when the schedule
+	// closed took to complete. Elapsed is ArrivalWindow plus Drain.
+	Drain time.Duration
 }
 
 // OfferedRate returns the arrival rate the process actually generated,
-// in arrivals per second (issued + shed).
+// in arrivals per second (issued + shed), over the arrival window. Slow
+// replies lengthen the drain, not the window, so they cannot dilute it.
 func (r *OpenLoopResult) OfferedRate() float64 {
-	if r.Elapsed <= 0 {
+	if r.ArrivalWindow <= 0 {
 		return 0
 	}
-	return float64(r.Arrivals) / r.Elapsed.Seconds()
+	return float64(r.Arrivals) / r.ArrivalWindow.Seconds()
 }
 
 // ShedRate returns the fraction of arrivals shed at the in-flight cap.
@@ -291,8 +300,10 @@ arrivals:
 			mu.Unlock()
 		}(target+path, id)
 	}
+	res.ArrivalWindow = time.Since(start)
 	wg.Wait()
 	res.Elapsed = time.Since(start)
+	res.Drain = res.Elapsed - res.ArrivalWindow
 	res.PeakInFlight = int(peak.Load())
 	return res, nil
 }

@@ -190,3 +190,36 @@ func TestRunOpenLoopValidation(t *testing.T) {
 		t.Fatalf("bad route mix accepted: %v", err)
 	}
 }
+
+// TestOpenLoopOfferedRateIgnoresDrain offers 100/s to a server whose
+// replies take 500 ms. The requests still in flight when the schedule
+// closes stretch the run by about half a second; that drain must be
+// reported on its own and must not dilute the offered rate.
+func TestOpenLoopOfferedRateIgnoresDrain(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(500 * time.Millisecond)
+	}))
+	defer srv.Close()
+
+	res, err := RunOpenLoop(srv.URL, OpenLoopOptions{
+		Arrival:  Constant{RatePerSec: 100},
+		Duration: time.Second,
+		RNG:      rand.New(rand.NewSource(5)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shed != 0 {
+		t.Fatalf("shed %d arrivals under the default cap", res.Shed)
+	}
+	if rate := res.OfferedRate(); math.Abs(rate-100)/100 > 0.15 {
+		t.Fatalf("offered rate %.1f/s over a %v window (elapsed %v), want ~100/s",
+			rate, res.ArrivalWindow, res.Elapsed)
+	}
+	if res.Drain < 400*time.Millisecond {
+		t.Fatalf("drain %v, want about the 500 ms reply time", res.Drain)
+	}
+	if res.ArrivalWindow+res.Drain != res.Elapsed {
+		t.Fatalf("window %v + drain %v != elapsed %v", res.ArrivalWindow, res.Drain, res.Elapsed)
+	}
+}

@@ -28,6 +28,7 @@ const maxBodyBytes = 32 << 20 // 32 MiB
 // an optional control API server.
 type Agent struct {
 	cfg     Config
+	id      string // cfg.agentID(), computed once and stamped on every record
 	matcher *rules.Matcher
 	sink    eventlog.Sink
 
@@ -277,6 +278,7 @@ func New(cfg Config) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:     cfg,
+		id:      cfg.agentID(),
 		matcher: rules.NewMatcher(cfg.RNG),
 		sink:    cfg.Sink,
 		// The span generator deliberately does not consume cfg.RNG: the
@@ -331,7 +333,7 @@ func New(cfg Config) (*Agent, error) {
 	a.relays = make(map[string]*streamproxy.Relay, len(cfg.L4Routes))
 	// Connection IDs share the span generator's collision-free scheme;
 	// the "l4-" prefix keeps them recognizable in rule patterns and logs.
-	connIDs := trace.NewGenerator("l4-"+cfg.agentID()+"-", nil)
+	connIDs := trace.NewGenerator("l4-"+a.id+"-", nil)
 	for _, r := range cfg.L4Routes {
 		relay, err := streamproxy.New(streamproxy.Config{
 			Src:        cfg.ServiceName,
@@ -341,7 +343,7 @@ func New(cfg Config) (*Agent, error) {
 			Matcher:    a.matcher,
 			Log:        a.log,
 			ConnID:     connIDs.Next,
-			Agent:      cfg.agentID(),
+			Agent:      a.id,
 		})
 		if err != nil {
 			a.closeBound()
@@ -470,7 +472,7 @@ func (a *Agent) log(rec eventlog.Record) {
 	if a.sink == nil {
 		return
 	}
-	rec.Agent = a.cfg.agentID()
+	rec.Agent = a.id
 	// A full or unreachable store must not break the data path; the paper's
 	// agents ship logs asynchronously via logstash with the same property.
 	_ = a.sink.Log(rec)
@@ -762,7 +764,7 @@ func (rp *routeProxy) forward(r *http.Request, f flow, body []byte, buffered boo
 		}
 		out.ContentLength = r.ContentLength
 	}
-	copyHeaders(out.Header, r.Header)
+	cloneHeaders(out, r.Header)
 	// The outbound request carries this hop's span so the callee's agent
 	// (and any microservice relaying headers via trace.Propagate) links its
 	// own span to ours, and this hop's execution index so the callee's
@@ -800,7 +802,7 @@ func (rp *routeProxy) mirror(r *http.Request, body []byte) {
 	if err != nil {
 		return
 	}
-	copyHeaders(out.Header, r.Header)
+	cloneHeaders(out, r.Header)
 	out.Header.Del("Connection")
 	out.ContentLength = int64(len(body))
 	rp.mirrors.Add(1)
@@ -826,11 +828,25 @@ func sleepOrDisconnect(r *http.Request, d time.Duration) {
 	}
 }
 
+// cloneHeaders gives an outbound request a copy of the inbound headers,
+// all values in one allocation.
+func cloneHeaders(out *http.Request, h http.Header) {
+	if h != nil {
+		out.Header = h.Clone()
+	}
+}
+
+// copyHeaders relays an upstream reply's headers to the client. The
+// reply is not read again, so its value slices are shared rather than
+// copied; the full slice expression keeps a later append from writing
+// into them.
 func copyHeaders(dst, src http.Header) {
 	for k, vs := range src {
-		for _, v := range vs {
-			dst.Add(k, v)
+		vs = vs[:len(vs):len(vs)]
+		if prev, ok := dst[k]; ok {
+			vs = append(prev, vs...)
 		}
+		dst[k] = vs
 	}
 }
 

@@ -78,7 +78,7 @@ func (a *Agent) controlHandler() http.Handler {
 func (a *Agent) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	info := InfoBody{
 		Service:   a.cfg.ServiceName,
-		AgentID:   a.cfg.agentID(),
+		AgentID:   a.id,
 		Rules:     a.matcher.Len(),
 		RuleSet:   a.matcher.Status(),
 		Stats:     a.Stats(),

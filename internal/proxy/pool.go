@@ -22,6 +22,13 @@ type targetPool struct {
 type poolTarget struct {
 	addr    string
 	pending atomic.Int64
+	release func() // ends one in-flight request; built once, not per pick
+}
+
+func newPoolTarget(addr string) *poolTarget {
+	t := &poolTarget{addr: addr}
+	t.release = func() { t.pending.Add(-1) }
+	return t
 }
 
 func newTargetPool(addrs []string) *targetPool {
@@ -51,7 +58,7 @@ func (p *targetPool) pick() (addr string, release func(), ok bool) {
 	}
 	best.pending.Add(1)
 	p.mu.Unlock()
-	return best.addr, func() { best.pending.Add(-1) }, true
+	return best.addr, best.release, true
 }
 
 // set replaces the live target set. Addresses already in the pool keep
@@ -73,7 +80,7 @@ func (p *targetPool) set(addrs []string) {
 		if t, ok := old[a]; ok {
 			next = append(next, t)
 		} else {
-			next = append(next, &poolTarget{addr: a})
+			next = append(next, newPoolTarget(a))
 		}
 	}
 	p.targets = next

@@ -109,6 +109,19 @@ func CanonicalEI(s string) string {
 // already truncated and the frame silently discarded). Agents count every
 // true return as a truncation event.
 func AppendEI(ei, service string, ordinal int) (string, bool) {
+	// Fast path: a canonical inbound index is its own FormatEI, so the
+	// new index is the inbound one plus a frame, built in one allocation.
+	if n, ok := canonicalFrames(ei); ok && n < MaxEIFrames {
+		var digits [20]byte
+		ord := strconv.AppendInt(digits[:0], int64(ordinal), 10)
+		sep := "/"
+		if ei == "" {
+			sep = ""
+		}
+		if len(ei)+len(sep)+len(service)+1+len(ord) <= MaxEIBytes {
+			return ei + sep + service + "#" + string(ord), false
+		}
+	}
 	frames, truncated := ParseEI(ei)
 	if truncated {
 		// Already at the bound upstream: never grow past the marker.
@@ -120,6 +133,45 @@ func AppendEI(ei, service string, ordinal int) (string, bool) {
 		return FormatEI(clampEI(frames), true), true
 	}
 	return out, false
+}
+
+// canonicalFrames reports whether ei is already in canonical form —
+// FormatEI(ParseEI(ei)) == ei with no truncation marker — and if so how
+// many frames it holds. It allocates nothing.
+func canonicalFrames(ei string) (frames int, ok bool) {
+	if ei == "" {
+		return 0, true
+	}
+	for {
+		part := ei
+		i := strings.IndexByte(ei, '/')
+		if i >= 0 {
+			part, ei = ei[:i], ei[i+1:]
+		}
+		h := strings.LastIndexByte(part, '#')
+		if h <= 0 || !canonicalOrdinal(part[h+1:]) {
+			return 0, false // malformed frame or truncation marker
+		}
+		frames++
+		if i < 0 {
+			return frames, true
+		}
+	}
+}
+
+// canonicalOrdinal reports whether s is an ordinal exactly as
+// strconv.Itoa formats it: decimal digits without a sign or leading
+// zero. Nine digits at most, so it parses on every int size.
+func canonicalOrdinal(s string) bool {
+	if s == "" || len(s) > 9 || (s[0] == '0' && len(s) > 1) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // clampEI bounds an inbound frame list that somehow already exceeds the
@@ -138,15 +190,11 @@ func clampEI(frames []EIFrame) []EIFrame {
 // EIFromRequest extracts the wire-form execution index from an HTTP
 // request ("" if none).
 func EIFromRequest(r *http.Request) string {
-	return r.Header.Get(HeaderEI)
+	return headerValue(r.Header, keyEI)
 }
 
 // SetEI stamps an execution index onto an outgoing request. An empty
 // index deletes the header rather than leaving a stale inherited value.
 func SetEI(r *http.Request, ei string) {
-	if ei == "" {
-		r.Header.Del(HeaderEI)
-	} else {
-		r.Header.Set(HeaderEI, ei)
-	}
+	setOrDelete(r.Header, keyEI, ei)
 }

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/textproto"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -37,6 +39,18 @@ const HeaderSpan = "X-Gremlin-Span"
 // It is informational for downstream debugging; trace assembly links spans
 // through the (SpanID, ParentSpanID) pairs each agent logs.
 const HeaderParentSpan = "X-Gremlin-Parent-Span"
+
+// Canonical MIME forms of the header names. HeaderRequestID and HeaderEI
+// are not canonical, so handing them to Header.Get or Header.Set would
+// canonicalise (and allocate) again on every call; indexing the map by
+// the canonical key is equivalent, because header names are
+// case-insensitive on the wire and net/http canonicalises inbound keys.
+var (
+	keyRequestID  = textproto.CanonicalMIMEHeaderKey(HeaderRequestID)
+	keySpan       = textproto.CanonicalMIMEHeaderKey(HeaderSpan)
+	keyParentSpan = textproto.CanonicalMIMEHeaderKey(HeaderParentSpan)
+	keyEI         = textproto.CanonicalMIMEHeaderKey(HeaderEI)
+)
 
 // TestIDPrefix is the conventional prefix for synthetic test traffic. Rules
 // installed by recipes default to matching the pattern "test-*" so that
@@ -65,9 +79,8 @@ var globalSalt atomic.Uint64
 // long as their salts differ — guaranteed for nil-rng generators in one
 // process, probabilistic for seeded ones.
 type Generator struct {
-	prefix string
-	ctr    atomic.Uint64
-	salt   uint64
+	base string // prefix plus salt plus '-': every ID's constant head
+	ctr  atomic.Uint64
 }
 
 // NewGenerator returns a Generator whose IDs carry the given prefix
@@ -89,25 +102,36 @@ func NewGenerator(prefix string, rng *rand.Rand) *Generator {
 	} else {
 		salt = globalSalt.Add(1) % 0xffffff
 	}
-	return &Generator{prefix: prefix, salt: salt}
+	return &Generator{base: fmt.Sprintf("%s%06x-", prefix, salt)}
 }
 
 // Next returns a fresh unique ID.
 func (g *Generator) Next() string {
-	n := g.ctr.Add(1)
-	return fmt.Sprintf("%s%06x-%d", g.prefix, g.salt, n)
+	var digits [20]byte
+	// The conversion is an operand of the concatenation, so it borrows
+	// digits instead of copying: the result is the only allocation.
+	return g.base + string(strconv.AppendUint(digits[:0], g.ctr.Add(1), 10))
+}
+
+// headerValue returns the first value of h under the canonical key
+// ("" if none), without re-canonicalising the key.
+func headerValue(h http.Header, key string) string {
+	if vs := h[key]; len(vs) > 0 {
+		return vs[0]
+	}
+	return ""
 }
 
 // FromRequest extracts the request ID from an HTTP request, returning the
 // empty string if none is present.
 func FromRequest(r *http.Request) string {
-	return r.Header.Get(HeaderRequestID)
+	return headerValue(r.Header, keyRequestID)
 }
 
 // SetRequestID stamps the request ID onto an outgoing HTTP request.
 func SetRequestID(r *http.Request, id string) {
 	if id != "" {
-		r.Header.Set(HeaderRequestID, id)
+		r.Header[keyRequestID] = []string{id}
 	}
 }
 
@@ -115,7 +139,7 @@ func SetRequestID(r *http.Request, id string) {
 // request ("" if none). For a Gremlin agent this is the parent of the span
 // it is about to mint.
 func SpanFromRequest(r *http.Request) string {
-	return r.Header.Get(HeaderSpan)
+	return headerValue(r.Header, keySpan)
 }
 
 // SetSpan stamps span identity onto an outgoing request: spanID becomes
@@ -123,15 +147,16 @@ func SpanFromRequest(r *http.Request) string {
 // the corresponding header rather than leaving a stale inherited value —
 // agents rewrite both on every hop.
 func SetSpan(r *http.Request, spanID, parentID string) {
-	if spanID == "" {
-		r.Header.Del(HeaderSpan)
+	setOrDelete(r.Header, keySpan, spanID)
+	setOrDelete(r.Header, keyParentSpan, parentID)
+}
+
+// setOrDelete sets h's canonical key to v, or deletes it when v is empty.
+func setOrDelete(h http.Header, key, v string) {
+	if v == "" {
+		delete(h, key)
 	} else {
-		r.Header.Set(HeaderSpan, spanID)
-	}
-	if parentID == "" {
-		r.Header.Del(HeaderParentSpan)
-	} else {
-		r.Header.Set(HeaderParentSpan, parentID)
+		h[key] = []string{v}
 	}
 }
 
@@ -143,7 +168,7 @@ func SetSpan(r *http.Request, spanID, parentID string) {
 func Propagate(in *http.Request, out *http.Request) string {
 	id := FromRequest(in)
 	SetRequestID(out, id)
-	SetSpan(out, in.Header.Get(HeaderSpan), in.Header.Get(HeaderParentSpan))
-	SetEI(out, in.Header.Get(HeaderEI))
+	SetSpan(out, headerValue(in.Header, keySpan), headerValue(in.Header, keyParentSpan))
+	SetEI(out, headerValue(in.Header, keyEI))
 	return id
 }

@@ -56,18 +56,19 @@ func TestGeneratorRejectsEmptyPrefix(t *testing.T) {
 // one event store never produce the same ID, even when one prefix extends
 // the other (the "camp-" vs "camp-1-" shape) and regardless of rng.
 func TestGeneratorDistinctPrefixesNeverCollide(t *testing.T) {
+	prefixes := []string{"camp-", "camp-1-", "camp-", "camp-1-", "camp-11-"}
 	gens := []*Generator{
-		NewGenerator("camp-", nil),
-		NewGenerator("camp-1-", nil),
-		NewGenerator("camp-", rand.New(rand.NewSource(3))),
-		NewGenerator("camp-1-", rand.New(rand.NewSource(3))),
-		NewGenerator("camp-11-", rand.New(rand.NewSource(4))),
+		NewGenerator(prefixes[0], nil),
+		NewGenerator(prefixes[1], nil),
+		NewGenerator(prefixes[2], rand.New(rand.NewSource(3))),
+		NewGenerator(prefixes[3], rand.New(rand.NewSource(3))),
+		NewGenerator(prefixes[4], rand.New(rand.NewSource(4))),
 	}
 	seen := make(map[string]int)
 	for gi, g := range gens {
 		for i := 0; i < 500; i++ {
 			id := g.Next()
-			if prev, dup := seen[id]; dup && gens[prev].prefix != g.prefix {
+			if prev, dup := seen[id]; dup && prefixes[prev] != prefixes[gi] {
 				t.Fatalf("generators %d and %d (distinct prefixes) both produced %q", prev, gi, id)
 			}
 			seen[id] = gi
