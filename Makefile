@@ -29,16 +29,21 @@ cover:
 	@echo "total: $$($(GO) tool cover -func=cover.out | tail -n 1 | awk '{print $$3}')"
 	@rm -f cover.out
 
-# Before/after micro-benchmarks for the hot paths (matcher, store, proxy)
-# plus the sharded-vs-single store pairs.
-bench:
-	$(GO) test -run xxx -bench 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore' -benchtime 0.5s .
+# Before/after micro-benchmarks for the hot paths (matcher, store, HTTP
+# proxy, L4 relay) plus the sharded-vs-single store pairs.
+BENCH_PATTERN = 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore|Relay'
 
-# The same hot-path benchmarks, parsed into a committed JSON snapshot so
-# runs can be diffed across PRs.
+bench:
+	$(GO) test -run xxx -bench $(BENCH_PATTERN) -benchtime 0.5s .
+
+# The same hot-path benchmarks, parsed into a JSON snapshot so runs can be
+# diffed across PRs. Each run writes BENCH_<N+1>.json, N being the highest
+# existing snapshot, and never overwrites an earlier one.
 bench-json:
-	$(GO) test -run xxx -bench 'MatcherDecide|StoreSelect|ProxyThroughput|ShardedStore' -benchtime 0.5s . \
-		| $(GO) run ./internal/tools/benchjson > BENCH_3.json
+	@n=$$(ls BENCH_*.json 2>/dev/null | sed -E 's/^BENCH_([0-9]+)\.json$$/\1/' | sort -n | tail -n 1); \
+	out=BENCH_$$(( $${n:-0} + 1 )).json; \
+	$(GO) test -run xxx -bench $(BENCH_PATTERN) -benchtime 0.5s . > $$out.txt || { cat $$out.txt; rm -f $$out.txt; exit 1; }; \
+	$(GO) run ./internal/tools/benchjson < $$out.txt > $$out && rm -f $$out.txt && echo "wrote $$out"
 
 # The paper's full evaluation series (Tables 1-3, Figures 5-8).
 bench-figures:

@@ -21,8 +21,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,6 +38,7 @@ import (
 	"gremlin/internal/orchestrator"
 	"gremlin/internal/proxy"
 	"gremlin/internal/rules"
+	"gremlin/internal/streamproxy"
 	"gremlin/internal/topology"
 	"gremlin/internal/trace"
 )
@@ -525,10 +528,15 @@ func BenchmarkStoreSelectLinear10k(b *testing.B)   { benchmarkStoreSelect(b, 10_
 // benchmarkProxyThroughput pushes a body of the given size through the
 // agent. With no Modify rule the body streams through pooled buffers (B/op
 // stays flat as size grows); a response Modify rule forces the pre-overhaul
-// read-everything path for comparison.
-func benchmarkProxyThroughput(b *testing.B, size int, modify bool) {
+// read-everything path for comparison. A sized backend declares the
+// body's Content-Length, so the agent's reply has a declared length too
+// and net/http copies it through ReadFrom rather than chunking it.
+func benchmarkProxyThroughput(b *testing.B, size int, modify, sized bool) {
 	body := strings.Repeat("x", size)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if sized {
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+		}
 		_, _ = io.WriteString(w, body)
 	}))
 	b.Cleanup(backend.Close)
@@ -574,10 +582,140 @@ func benchmarkProxyThroughput(b *testing.B, size int, modify bool) {
 	}
 }
 
-func BenchmarkProxyThroughputStreamed64KiB(b *testing.B) { benchmarkProxyThroughput(b, 64<<10, false) }
-func BenchmarkProxyThroughputBuffered64KiB(b *testing.B) { benchmarkProxyThroughput(b, 64<<10, true) }
-func BenchmarkProxyThroughputStreamed1MiB(b *testing.B)  { benchmarkProxyThroughput(b, 1<<20, false) }
-func BenchmarkProxyThroughputBuffered1MiB(b *testing.B)  { benchmarkProxyThroughput(b, 1<<20, true) }
+func BenchmarkProxyThroughputStreamed64KiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 64<<10, false, false)
+}
+func BenchmarkProxyThroughputBuffered64KiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 64<<10, true, false)
+}
+func BenchmarkProxyThroughputStreamed1MiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 1<<20, false, false)
+}
+func BenchmarkProxyThroughputBuffered1MiB(b *testing.B) {
+	benchmarkProxyThroughput(b, 1<<20, true, false)
+}
+func BenchmarkProxyThroughputSized1MiB(b *testing.B) { benchmarkProxyThroughput(b, 1<<20, false, true) }
+
+// ---- L4 relay: throughput against a same-run direct echo, and setup ----
+//
+// Each echo benchmark moves 4 MiB up and the same 4 MiB back per op over
+// one long-lived connection. Direct is the reference without a relay;
+// Unfaulted is the relay's kernel (splice) path; Chunked forces both
+// directions onto the fault-bearing Read/Write loop with sever rules that
+// never reach their threshold, the ablation the kernel path is measured
+// against.
+
+const relayEchoSize = 4 << 20
+
+// benchEchoServer starts a TCP echo backend for the relay benchmarks.
+func benchEchoServer(b *testing.B) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				_, _ = io.Copy(c, c)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// benchRelay fronts upstream with an L4 relay carrying installed, whose
+// records are dropped.
+func benchRelay(b *testing.B, upstream string, installed ...rules.Rule) string {
+	m := rules.NewMatcher(rand.New(rand.NewSource(1)))
+	if err := m.Install(installed...); err != nil {
+		b.Fatal(err)
+	}
+	r, err := streamproxy.New(streamproxy.Config{
+		Src: "client", Dst: "db", ListenAddr: "127.0.0.1:0",
+		Targets: []string{upstream}, Matcher: m,
+		Log: func(eventlog.Record) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.Start()
+	b.Cleanup(func() { r.Close() })
+	return r.Addr()
+}
+
+func benchmarkRelayEcho(b *testing.B, addr string) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	payload := make([]byte, relayEchoSize)
+	got := make([]byte, relayEchoSize)
+	werr := make(chan error, 1)
+	b.SetBytes(relayEchoSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		go func() {
+			_, err := c.Write(payload)
+			werr <- err
+		}()
+		if _, err := io.ReadFull(c, got); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-werr; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRelayDirectEcho4MiB(b *testing.B) {
+	benchmarkRelayEcho(b, benchEchoServer(b))
+}
+
+func BenchmarkRelayUnfaultedEcho4MiB(b *testing.B) {
+	benchmarkRelayEcho(b, benchRelay(b, benchEchoServer(b)))
+}
+
+func BenchmarkRelayChunkedEcho4MiB(b *testing.B) {
+	var never []rules.Rule
+	for _, on := range []rules.MessageType{rules.OnRequest, rules.OnResponse} {
+		never = append(never, rules.Rule{
+			ID: "never-" + string(on), Src: "client", Dst: "db", On: on,
+			Layer: rules.LayerL4, Action: rules.ActionSever, AbortAfterBytes: 1 << 62,
+		})
+	}
+	benchmarkRelayEcho(b, benchRelay(b, benchEchoServer(b), never...))
+}
+
+// BenchmarkRelayConnSetup is one relayed connection's life: accept, two
+// decisions, the upstream dial, the conn-open/conn-close records and a
+// 1-byte echo.
+func BenchmarkRelayConnSetup(b *testing.B) {
+	addr := benchRelay(b, benchEchoServer(b))
+	one := []byte{'x'}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Write(one); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, one); err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+	}
+}
 
 // Ablation: the prefix-structured-request-ID optimization the paper
 // suggests (§7.2) applied to the 200-rule worst case.

@@ -70,13 +70,42 @@ type Agent struct {
 	latency *metrics.Histogram
 }
 
-// copyBufs holds 32 KiB buffers reused by the streaming fast path, so a
-// proxied body costs no per-request allocation.
-var copyBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, 32<<10)
-		return &b
-	},
+// replyCopier carries a reply body into net/http's ResponseWriter through
+// a pooled 32 KiB buffer. The ResponseWriter implements io.ReaderFrom,
+// so io.CopyBuffer would hand it the body and never touch its buffer;
+// net/http's ReadFrom reads the sniffing prefix through Read and then,
+// for a reply of declared length, copies the rest straight to the
+// connection with io.Copy, which takes WriteTo when the source has one
+// and allocates a fresh buffer when it does not. WriteTo writes each read
+// through at once, so a slow body's bytes reach the client as they come.
+type replyCopier struct {
+	body io.Reader
+	buf  []byte
+}
+
+func (c *replyCopier) Read(p []byte) (int, error) { return c.body.Read(p) }
+
+func (c *replyCopier) WriteTo(w io.Writer) (int64, error) {
+	return io.CopyBuffer(w, c.body, c.buf)
+}
+
+// replyCopiers pools the streaming fast path's copiers, so a proxied body
+// costs no per-request allocation.
+var replyCopiers = sync.Pool{
+	New: func() any { return &replyCopier{buf: make([]byte, 32<<10)} },
+}
+
+// streamReply copies body to w through a pooled replyCopier.
+func streamReply(w http.ResponseWriter, body io.Reader) {
+	c := replyCopiers.Get().(*replyCopier)
+	c.body = body
+	if rf, ok := w.(io.ReaderFrom); ok {
+		_, _ = rf.ReadFrom(c)
+	} else {
+		_, _ = c.WriteTo(w)
+	}
+	c.body = nil
+	replyCopiers.Put(c)
 }
 
 // Stats is a snapshot of the agent's data-path counters.
@@ -651,9 +680,7 @@ func (rp *routeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.nStreamed.Add(1)
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(status)
-	buf := copyBufs.Get().(*[]byte)
-	_, _ = io.CopyBuffer(w, resp.Body, *buf)
-	copyBufs.Put(buf)
+	streamReply(w, resp.Body)
 	_ = resp.Body.Close()
 }
 

@@ -218,10 +218,11 @@ func (a *Agent) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// L4 plane. Emitted (zero-valued) even without L4 routes so the
 	// metric inventory is uniform across agents.
 	l4 := a.L4Stats()
+	const l4BytesHelp = "Bytes relayed by the L4 plane, by direction; an open unfaulted direction lags by under 1 MiB."
 	mw.Counter("gremlin_agent_l4_connections_total", "TCP connections accepted by the agent's stream relays.", float64(l4.Conns), "service", svc)
 	mw.Gauge("gremlin_agent_l4_open_connections", "Currently relayed TCP connections.", float64(l4.Open), "service", svc)
-	mw.Counter("gremlin_agent_l4_bytes_total", "Bytes relayed by the L4 plane, by direction.", float64(l4.BytesUp), "service", svc, "direction", "up")
-	mw.Counter("gremlin_agent_l4_bytes_total", "Bytes relayed by the L4 plane, by direction.", float64(l4.BytesDown), "service", svc, "direction", "down")
+	mw.Counter("gremlin_agent_l4_bytes_total", l4BytesHelp, float64(l4.BytesUp), "service", svc, "direction", "up")
+	mw.Counter("gremlin_agent_l4_bytes_total", l4BytesHelp, float64(l4.BytesDown), "service", svc, "direction", "down")
 	for _, fam := range []struct {
 		action string
 		count  int64

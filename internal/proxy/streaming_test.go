@@ -3,8 +3,10 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -223,5 +225,58 @@ func TestProxyDataPathNotBlockedBySlowStore(t *testing.T) {
 	}
 	if got := slow.inner.Len(); got != 2*n {
 		t.Fatalf("store has %d records, want %d", got, 2*n)
+	}
+}
+
+// TestStreamingWritesThroughSizedReply pins the fast path's write-through
+// for a reply of declared length: the backend sends the first 1 KiB of a
+// 64 KiB body and waits until the client has read it, so a copy that held
+// bytes back until the body ended would deadlock.
+func TestStreamingWritesThroughSizedReply(t *testing.T) {
+	const size, head = 64 << 10, 1 << 10
+	body := strings.Repeat("0123456789abcdef", size/16)
+	clientRead := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+		_, _ = io.WriteString(w, body[:head])
+		w.(http.Flusher).Flush()
+		select {
+		case <-clientRead:
+		case <-time.After(10 * time.Second):
+			return // the client never saw the head; it fails below
+		}
+		_, _ = io.WriteString(w, body[head:])
+	}))
+	t.Cleanup(backend.Close)
+	a := newAgent(t, eventlog.NewStore(), hostport(backend.URL))
+
+	resp := routeGet(t, a, "/sized", "test-1")
+	defer resp.Body.Close()
+	if resp.ContentLength != size {
+		t.Fatalf("Content-Length = %d, want %d", resp.ContentLength, size)
+	}
+	got := make([]byte, size)
+	headRead := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(resp.Body, got[:head])
+		headRead <- err
+	}()
+	select {
+	case err := <-headRead:
+		if err != nil {
+			t.Fatalf("read head: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reply's first 1 KiB never reached the client: the agent holds written bytes back")
+	}
+	close(clientRead)
+	if _, err := io.ReadFull(resp.Body, got[head:]); err != nil {
+		t.Fatalf("read rest: %v", err)
+	}
+	if string(got) != body {
+		t.Fatal("sized reply corrupted")
+	}
+	if st := a.Stats(); st.Streamed != 1 {
+		t.Fatalf("Streamed = %d, want 1", st.Streamed)
 	}
 }

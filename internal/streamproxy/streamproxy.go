@@ -19,11 +19,20 @@
 //   - Throttle: token-bucket pacing of one direction to RateBytesPerSec.
 //   - Jitter: a fixed sleep before each relayed chunk.
 //
+// A direction whose decision did not fire a mid-stream fault (connect-
+// delayed connections included, once the delay is served) is handed to
+// the kernel: on Linux, TCPConn.ReadFrom turns a bounded copy between two
+// TCP sockets into splice(2), so its bytes never enter user space.
+// Directions carrying a sever, half-open, throttle or jitter keep a
+// chunked Read/Write loop, which needs every read to clip, pace or sleep.
+//
 // Every connection emits a paired conn-open/conn-close record into the
 // event log (shared RequestID = connection ID) carrying the bytes moved
 // each way, the connection's duration, and the fault that fired, so the
 // checker, tracing, and campaign scorecards observe L4 faults alongside
-// HTTP ones.
+// HTTP ones. The records' byte counts are exact on both paths; the
+// relay-wide Stats byte counters advance per spliced chunk (at most
+// spliceChunk) on the kernel path, per read on the chunked one.
 package streamproxy
 
 import (
@@ -39,9 +48,16 @@ import (
 	"gremlin/internal/rules"
 )
 
-// copyBufSize is the per-direction relay buffer. 32 KiB matches the
-// HTTP proxy's streaming fast path.
+// copyBufSize is the buffer of a fault-bearing direction's chunked loop,
+// and so the granularity at which it clips, paces and sleeps. 32 KiB
+// matches the HTTP proxy's streaming fast path. Unfaulted directions
+// allocate no buffer: the kernel moves their bytes.
 const copyBufSize = 32 * 1024
+
+// spliceChunk bounds one kernel copy of an unfaulted direction. Each
+// completed chunk is added to the relay-wide byte counter, so Stats lags
+// the bytes actually relayed by less than spliceChunk per open direction.
+const spliceChunk = 1 << 20
 
 // DefaultDialTimeout bounds the upstream dial when Config.DialTimeout
 // is zero.
@@ -456,8 +472,11 @@ type pumpResult struct {
 
 // pump relays src→dst until EOF, error, or a fault terminates the
 // direction. total accumulates the relay-wide byte counter for this
-// direction.
+// direction. An unfaulted direction takes the kernel path.
 func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int64) pumpResult {
+	if !dec.Fired {
+		return s.splice(src, dst, total)
+	}
 	var res pumpResult
 	var (
 		severAfter int64 = -1
@@ -466,18 +485,15 @@ func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int6
 		tb         *bucket
 		jitter     time.Duration
 	)
-	if dec.Fired {
-		rule := dec.Rule
-		switch rule.Action {
-		case rules.ActionSever:
-			severAfter, severMode = rule.AbortAfterBytes, rule.EffectiveSeverMode()
-		case rules.ActionHalfOpen:
-			halfAfter = rule.AbortAfterBytes
-		case rules.ActionThrottle:
-			tb = newBucket(rule.RateBytesPerSec)
-		case rules.ActionJitter:
-			jitter = rule.Delay()
-		}
+	switch rule := dec.Rule; rule.Action {
+	case rules.ActionSever:
+		severAfter, severMode = rule.AbortAfterBytes, rule.EffectiveSeverMode()
+	case rules.ActionHalfOpen:
+		halfAfter = rule.AbortAfterBytes
+	case rules.ActionThrottle:
+		tb = newBucket(rule.RateBytesPerSec)
+	case rules.ActionJitter:
+		jitter = rule.Delay()
 	}
 	actuate := func(a rules.Action, counter *atomic.Int64) {
 		if res.action == "" {
@@ -539,6 +555,33 @@ func (s *session) pump(src, dst net.Conn, dec rules.Decision, total *atomic.Int6
 			} else {
 				s.teardown(rules.SeverFIN)
 			}
+			return res
+		}
+	}
+}
+
+// splice relays an unfaulted direction src→dst in bounded kernel copies:
+// between two *net.TCPConn, dst.ReadFrom over a LimitedReader of src is
+// splice(2) through a pooled pipe, which forwards whatever is readable
+// before it waits again, so request/reply protocols never stall. A copy
+// that ends short of its limit without an error met EOF, which is
+// propagated as a half-close; any other error tears the session down,
+// and a teardown from elsewhere (the other direction, Relay.Close)
+// unblocks a copy in flight by closing its sockets.
+func (s *session) splice(src, dst net.Conn, total *atomic.Int64) pumpResult {
+	var res pumpResult
+	lr := &io.LimitedReader{R: src}
+	for {
+		lr.N = spliceChunk
+		n, err := io.Copy(dst, lr)
+		res.bytes += n
+		total.Add(n)
+		if err != nil {
+			s.teardown(rules.SeverFIN)
+			return res
+		}
+		if lr.N > 0 {
+			closeWrite(dst)
 			return res
 		}
 	}

@@ -13,9 +13,9 @@ import (
 	"gremlin/internal/rules"
 )
 
-// echoServer accepts connections and echoes everything back until the
-// peer closes. Returned closer stops it.
-func echoServer(t *testing.T) (addr string, stop func()) {
+// serveTCP runs handle on every accepted connection until the returned
+// stop func closes the listener and waits for the handlers.
+func serveTCP(t *testing.T, handle func(net.Conn)) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -33,12 +33,19 @@ func echoServer(t *testing.T) (addr string, stop func()) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				io.Copy(c, c)
-				c.Close()
+				defer c.Close()
+				handle(c)
 			}()
 		}
 	}()
 	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
+}
+
+// echoServer accepts connections and echoes everything back until the
+// peer closes. Returned closer stops it.
+func echoServer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
+	return serveTCP(t, func(c net.Conn) { io.Copy(c, c) })
 }
 
 // recordSink collects emitted records thread-safely.
